@@ -1,56 +1,19 @@
 package repro.bench
 
-import org.apache.spark.sql.functions._
-import repro.{SparkSpec, SynthData}
-import repro.harness.TextTable
-import repro.sparkmega.SparkMegaphone
+import repro.SparkSpec
+import repro.exp.SparkMigrationExp
 
 /** The Spark micro-batch instantiation under migration: measured per-batch
   * wall times show the all-at-once spike vs. fluid/batched smoothing on real
   * Spark shuffles (the repro target's Structured-Streaming-style table).
   */
 class SparkMigrationBench extends SparkSpec {
-  import spark.implicits._
 
-  private val Bins       = 256
-  private val Workers    = 8
-  private val NumBatches = 12
-  private val MigrateAt  = 5
-
-  private def mkBatches() = (0 until NumBatches).map { i =>
-    SynthData
-      .uniformKeys(spark, 200_000L, 500_000L, seed = 31L + i)
-      .select($"k" as "key", lit(1L) as "value")
-      .cache()
-  }
-
-  private final case class Run(strategy: String, batchMs: Seq[Long], migMs: Seq[Long], moved: Seq[Long])
-
-  private lazy val runs: Seq[Run] = {
-    val batches = mkBatches()
-    batches.foreach(_.count()) // materialize inputs outside the timing
-    val moves = SparkMegaphone.imbalance(Bins, Workers)
-    val out = Seq("all-at-once", "batched", "fluid").map { strategy =>
-      val sched = SparkMegaphone.schedule(strategy, moves, MigrateAt, NumBatches - MigrateAt - 1)
-      val eng   = new SparkMegaphone(spark, Bins, Workers)
-      val res   = batches.zipWithIndex.map { case (b, i) => eng.processBatch(b, sched.getOrElse(i, Nil)) }
-      eng.close()
-      Run(strategy, res.map(_.batchMillis), res.map(_.migrateMillis), res.map(_.movedRows))
-    }
-    batches.foreach(_.unpersist())
-    out
-  }
+  private lazy val runs = SparkMigrationExp.run(spark)
 
   test("Spark: print per-batch wall times per strategy") {
-    println("\n=== Spark micro-batch Megaphone: per-batch wall time [ms] (migration from batch 5) ===")
-    println(TextTable.render(
-      "batch" +: (0 until NumBatches).map(_.toString),
-      runs.map(r => r.strategy +: r.batchMs.map(_.toString)),
-    ))
-    println(TextTable.render(
-      "moved rows" +: (0 until NumBatches).map(_.toString),
-      runs.map(r => r.strategy +: r.moved.map(_.toString)),
-    ))
+    println(s"\n=== Spark micro-batch Megaphone: per-batch wall time [ms] (moved state rows), migration from batch ${SparkMigrationExp.MigrateAt} ===")
+    println(SparkMigrationExp.render(runs))
     assert(runs.size == 3)
   }
 

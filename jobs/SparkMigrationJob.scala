@@ -1,10 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
-import repro.SynthData
-import repro.harness.TextTable
-import repro.sparkmega.SparkMegaphone
+import repro.exp.SparkMigrationExp
 
 /** Spark micro-batch Megaphone under migration: per-batch wall times for
   * all-at-once vs batched vs fluid (the repro target's Structured-Streaming
@@ -18,24 +15,8 @@ object SparkMigrationJob {
       .config("spark.sql.shuffle.partitions", "64")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    import spark.implicits._
-
-    val bins = 256; val workers = 8; val numBatches = 12; val migrateAt = 5
-    val batches = (0 until numBatches).map { i =>
-      SynthData.uniformKeys(spark, 200_000L, 500_000L, seed = 31L + i)
-        .select($"k" as "key", lit(1L) as "value").cache()
-    }
-    batches.foreach(_.count())
-    val moves = SparkMegaphone.imbalance(bins, workers)
-    val rows = Seq("all-at-once", "batched", "fluid").map { strategy =>
-      val sched = SparkMegaphone.schedule(strategy, moves, migrateAt, numBatches - migrateAt - 1)
-      val eng   = new SparkMegaphone(spark, bins, workers)
-      val res   = batches.zipWithIndex.map { case (b, i) => eng.processBatch(b, sched.getOrElse(i, Nil)) }
-      eng.close()
-      strategy +: res.map(r => s"${r.batchMillis}(${r.movedRows})")
-    }
-    println("per-batch wall time [ms] (moved state rows); migration from batch 5")
-    println(TextTable.render("batch" +: (0 until numBatches).map(_.toString), rows))
+    println(s"per-batch wall time [ms] (moved state rows); migration from batch ${SparkMigrationExp.MigrateAt}")
+    println(SparkMigrationExp.render(SparkMigrationExp.run(spark)))
     spark.stop()
   }
 }

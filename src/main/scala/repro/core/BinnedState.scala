@@ -59,9 +59,6 @@ final class Notificator[K, V] {
     while (queue.nonEmpty && queue.head._1 < frontier) out += queue.dequeue()
     out.toSeq
   }
-
-  /** Remove everything (used when migrating the bin). */
-  def drainAll(): Seq[(Long, Long, Rec[K, V])] = queue.dequeueAll
 }
 
 /** One bin: a group of keys' states plus the bin's pending post-dated records.

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.timely.{Net, Probe, Sim, SimWorker, Tracker}
+import repro.timely.{Net, Sim, SimWorker, Tracker}
 import scala.collection.mutable
 
 /** The Megaphone construction of §3.4 over the simulated timely substrate.
@@ -15,9 +15,12 @@ import scala.collection.mutable
   *   - `control` — the configuration-update stream's frontier; a configuration
   *                 at time t is final once this frontier passes t.
   *   - `probe`   — the output frontier of S (input frontier plus records and
-  *                 post-dated work still pending inside S). F initiates a
-  *                 migration at time t only once `probe` reaches t, and
-  *                 migration strategies await `probe` passing t for completion.
+  *                 post-dated work still pending inside S), a tracker of its
+  *                 own. F initiates a migration at time t only once `probe`
+  *                 reaches t, and migration strategies await `probe` passing
+  *                 t for completion.
+  *
+  * Bins start at their home worker `bin % numWorkers`.
   *
   * Records carry a `weight` so benchmarks can drive paper-scale rates; all
   * costs and histogram counts scale by weight (see [[Rec]]).
@@ -29,7 +32,6 @@ final class MegaphoneEngine[K, V, O](
     val cost: CostModel,
     val logic: BinLogic[K, V, O],
     binOf: K => Int,
-    initialAssignment: Int => Int = null,
     /** (completionNs, recordTime, output, weight) for every emitted output. */
     onOutput: (Long, Long, O, Long) => Unit = null,
     /** (loNs, hiNs, weight): applied input records arrived uniformly over
@@ -44,7 +46,7 @@ final class MegaphoneEngine[K, V, O](
   val net                       = new Net(sim, cost.netBytesPerNs, cost.netLatencyNs)
   val main                      = new Tracker("main")
   val control                   = new Tracker("control")
-  val probe                     = new Probe("s-output")
+  val probe                     = new Tracker("s-output")
 
   /** Bytes of one data record on the wire. */
   val dataBytesPerRecord = 16L
@@ -58,28 +60,21 @@ final class MegaphoneEngine[K, V, O](
 
   // ---------------------------------------------------------------- routing
 
-  /** Assignment after all ingested configuration updates (used to find the
-    * old owner when a new update arrives; strategies send monotone times).
+  /** The configuration function as per-bin update histories: the owner of
+    * `bin` from each update's time on. A bin's history is created by its
+    * first update; until then the bin stays at its home worker.
     */
-  private val assignTable: Array[Int] =
-    Array.tabulate(numBins)(b => if (initialAssignment == null) b % numWorkers else initialAssignment(b))
-
-  private val initialOwner: Array[Int] = assignTable.clone()
-
-  /** Time-dependent configuration function: per-bin update history. */
-  private val binHistory = mutable.HashMap.empty[Int, java.util.TreeMap[Long, Int]]
+  private val history = new Array[java.util.TreeMap[Long, Int]](numBins)
 
   /** configuration(time, bin) → worker (§3.2). */
-  def route(time: Long, bin: Int): Int =
-    binHistory.get(bin) match {
-      case None => initialOwner(bin)
-      case Some(h) =>
-        val e = h.floorEntry(time)
-        if (e == null) initialOwner(bin) else e.getValue
-    }
+  def route(time: Long, bin: Int): Int = {
+    val h = history(bin)
+    val e = if (h == null) null else h.floorEntry(time)
+    if (e == null) bin % numWorkers else e.getValue
+  }
 
   /** Current owner per the latest ingested configuration. */
-  def currentOwner(bin: Int): Int = assignTable(bin)
+  def currentOwner(bin: Int): Int = route(Long.MaxValue, bin)
 
   // ------------------------------------------------------------------- bins
 
@@ -92,7 +87,7 @@ final class MegaphoneEngine[K, V, O](
     while (b < numBins) {
       val bin = new Bin[K, V, O](b, logic)
       bin.modeledBytes = modeledBytesPerBin
-      sOps(assignTable(b)).bins(b) = bin
+      sOps(currentOwner(b)).bins(b) = bin
       b += 1
     }
   }
@@ -107,17 +102,15 @@ final class MegaphoneEngine[K, V, O](
   final class SOp(val worker: Int) {
     val bins = mutable.HashMap.empty[Int, Bin[K, V, O]]
 
-    /** Buffered input: time → (records, number of probe holds to release). */
-    val pendingInput = new java.util.TreeMap[Long, (mutable.ArrayBuffer[Rec[K, V]], Array[Long])]()
+    /** Buffered input: time → received messages, each holding `probe` once. */
+    val pendingInput = new java.util.TreeMap[Long, mutable.ArrayBuffer[Seq[Rec[K, V]]]]()
 
     /** Post-dated records pending across this S's bins (loop guard). */
     private[core] var notifyCount = 0L
     private var applyQueued       = false
 
     def receive(t: Long, recs: Seq[Rec[K, V]]): Unit = {
-      val slot = pendingInput.computeIfAbsent(t, _ => (mutable.ArrayBuffer.empty, Array(0L)))
-      slot._1 ++= recs
-      slot._2(0) += 1L
+      pendingInput.computeIfAbsent(t, _ => mutable.ArrayBuffer.empty) += recs
       // The in-flight message's pointstamp moves from `main` into S-internal
       // pending: S's *input* frontier may now pass t (which is exactly what
       // makes the records applicable) while `probe` — S's output — still
@@ -146,13 +139,10 @@ final class MegaphoneEngine[K, V, O](
       val f = main.frontier
       if ((pendingInput.isEmpty || pendingInput.firstKey() >= f) && notifyCount == 0) return
 
-      val inputWork  = mutable.ArrayBuffer.empty[(Long, Rec[K, V])]
-      val holdCounts = mutable.ArrayBuffer.empty[(Long, Long)]
+      val inputWork = mutable.ArrayBuffer.empty[(Long, Seq[Rec[K, V]])]
       while (!pendingInput.isEmpty && pendingInput.firstKey() < f) {
-        val t    = pendingInput.firstKey()
-        val slot = pendingInput.pollFirstEntry().getValue
-        slot._1.foreach(r => inputWork += ((t, r)))
-        holdCounts += ((t, slot._2(0)))
+        val e = pendingInput.pollFirstEntry()
+        e.getValue.foreach(msg => inputWork += ((e.getKey, msg)))
       }
       val notifyWork = mutable.ArrayBuffer.empty[(Long, Long, Rec[K, V])]
       if (notifyCount > 0) {
@@ -165,7 +155,7 @@ final class MegaphoneEngine[K, V, O](
       applyQueued = true
 
       var recCost = 0.0
-      inputWork.foreach { case (_, r) => recCost += r.weight * cost.perRecordNs }
+      inputWork.foreach { case (_, msg) => msg.foreach(r => recCost += r.weight * cost.perRecordNs) }
       notifyWork.foreach { case (_, _, r) => recCost += r.weight * cost.perRecordNs }
       val scanCost = bins.size * cost.binScanNs(numBins.toLong)
       val total    = (recCost + scanCost).toLong
@@ -177,7 +167,7 @@ final class MegaphoneEngine[K, V, O](
         // come before post-dated ones (which were scheduled strictly earlier
         // and become due together), and post-dated ties replay FIFO.
         val all =
-          (inputWork.iterator.map { case (t, r) => (t, r, true, 0L) } ++
+          (inputWork.iterator.flatMap { case (t, msg) => msg.iterator.map(r => (t, r, true, 0L)) } ++
             notifyWork.iterator.map { case (t, s, r) => (t, r, false, s) }).toArray
         scala.util.Sorting.stableSort(
           all,
@@ -205,7 +195,7 @@ final class MegaphoneEngine[K, V, O](
             onLatency(math.max(0L, done - (t + cost.epochNs)), math.max(1L, done - t), r.weight)
           if (!fromInput) probe.release(t) // the post-dated record's hold
         }
-        holdCounts.foreach { case (t, n) => probe.release(t, n) }
+        inputWork.foreach { case (t, _) => probe.release(t) } // each message's hold
         tryApply() // post-dated work may have become due meanwhile
       }
     }
@@ -278,9 +268,11 @@ final class MegaphoneEngine[K, V, O](
     * routing table … we present one for clarity").
     */
   private def ingestUpdate(t: Long, bin: Int, newWorker: Int): Unit = {
-    val oldWorker = assignTable(bin)
-    binHistory.getOrElseUpdate(bin, new java.util.TreeMap[Long, Int]()).put(t, newWorker)
-    assignTable(bin) = newWorker
+    val oldWorker = currentOwner(bin)
+    var h         = history(bin)
+    if (h == null) { h = new java.util.TreeMap[Long, Int](); history(bin) = h }
+    else require(t >= h.lastKey, s"configuration update for bin $bin at $t precedes its update at ${h.lastKey}")
+    h.put(t, newWorker)
     if (oldWorker != newWorker) {
       migrationLog += Migration(t, bin, oldWorker, newWorker)
       // F at the current owner anticipates the migration: hold t on `main`
@@ -312,49 +304,42 @@ final class MegaphoneEngine[K, V, O](
 
   // ----------------------------------------------------------------- inputs
 
+  /** An input's capability, held on `trackers` from time 0 until `close`. */
+  sealed abstract class Input(trackers: Tracker*) {
+    private var cap  = 0L
+    private var open = true
+    trackers.foreach(_.hold(cap))
+
+    def capability: Long = cap
+
+    protected def admit(t: Long): Unit =
+      require(open && t >= cap, s"send at $t behind capability $cap (open=$open)")
+
+    /** Downgrade the capability; a no-op when `t` is already reached. */
+    def advanceTo(t: Long): Unit = if (open && t > cap) { trackers.foreach(_.downgrade(cap, t)); cap = t }
+
+    def close(): Unit = if (open) { open = false; trackers.foreach(_.release(cap)) }
+  }
+
   /** Open-loop data input. Call `send` with nondecreasing times, then
     * `advanceTo` to let the epoch become applicable; `close` when done.
     */
-  final class DataInput {
-    private var cap  = 0L
-    private var open = true
-    holdBoth(cap)
-
-    def capability: Long = cap
-
+  final class DataInput extends Input(main, probe) {
     def send(w: Int, t: Long, recs: Seq[Rec[K, V]]): Unit = {
-      require(open && t >= cap, s"send at $t behind capability $cap (open=$open)")
+      admit(t)
       holdBoth(t)
       fOps(w).receive(t, recs)
     }
-
-    /** Downgrade the capability; a no-op when `t` is already reached. */
-    def advanceTo(t: Long): Unit = if (open && t > cap) {
-      main.downgrade(cap, t)
-      probe.hold(t); probe.release(cap)
-      cap = t
-    }
-
-    def close(): Unit = if (open) { open = false; main.release(cap); probe.release(cap) }
   }
 
-  /** Configuration-update input (the paper's control stream). */
-  final class ControlInput {
-    private var cap  = 0L
-    private var open = true
-    control.hold(cap)
-
-    def capability: Long = cap
-
+  /** Configuration-update input (the paper's control stream). Updates of
+    * one bin must come in nondecreasing time order.
+    */
+  final class ControlInput extends Input(control) {
     def send(t: Long, updates: Seq[(Int, Int)]): Unit = {
-      require(open && t >= cap, s"control send at $t behind capability $cap (open=$open)")
+      admit(t)
       updates.foreach { case (bin, w) => ingestUpdate(t, bin, w) }
     }
-
-    /** Downgrade the capability; a no-op when `t` is already reached. */
-    def advanceTo(t: Long): Unit = if (open && t > cap) { control.downgrade(cap, t); cap = t }
-
-    def close(): Unit = if (open) { open = false; control.release(cap) }
   }
 
   val dataInput    = new DataInput

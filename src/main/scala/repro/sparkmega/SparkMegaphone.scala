@@ -2,6 +2,7 @@ package repro.sparkmega
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.Moves
 import scala.collection.mutable
 
 /** Megaphone's migration mechanism instantiated on Spark DataFrames as a
@@ -148,11 +149,6 @@ object SparkMegaphone {
     case other => throw new IllegalArgumentException(s"unknown strategy $other")
   }
 
-  /** The canonical §5 move set on the Spark engine's modulo assignment. */
-  def imbalance(bins: Int, workers: Int): Seq[(Int, Int)] = {
-    val half = workers / 2
-    (0 until bins).collect {
-      case b if b % workers < half && (b / workers) % 2 == 0 => (b, b % workers + half)
-    }
-  }
+  /** The canonical §5 move set; same home placement `bin % workers`. */
+  def imbalance(bins: Int, workers: Int): Seq[(Int, Int)] = Moves.imbalance(bins, workers)
 }

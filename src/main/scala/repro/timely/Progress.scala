@@ -83,24 +83,3 @@ final class Tracker(val name: String) {
     } finally notifying = false
   }
 }
-
-/** A probe mirrors "attach a probe to the output of S": a monotone watermark
-  * computed from a tracker frontier combined with extra holds (e.g. records
-  * pending inside S instances, or apply-tasks in progress).
-  */
-final class Probe(name: String) {
-  private val tracker = new Tracker(name)
-
-  def hold(t: Long, n: Long = 1L): Unit    = tracker.hold(t, n)
-  def release(t: Long, n: Long = 1L): Unit = tracker.release(t, n)
-  def frontier: Long                       = tracker.frontier
-  def onAdvance(f: Long => Unit): Unit     = tracker.onAdvance(f)
-
-  /** True when `t` is not in advance of the frontier, i.e. all work strictly
-    * before or at `t` has completed ("probe has passed `t`").
-    */
-  def passed(t: Long): Boolean = tracker.passed(t)
-
-  /** Run `action` once the probe passes `t` (possibly immediately). */
-  def whenPassed(t: Long)(action: => Unit): Unit = tracker.whenPassed(t)(action)
-}

@@ -23,12 +23,6 @@ class NotificatorSpec extends AnyFunSuite {
     assert(n.isEmpty && n.minTime == Long.MaxValue)
   }
 
-  test("drainAll empties the queue") {
-    val n = new Notificator[Long, Long]
-    (1 to 5).foreach(i => n.schedule(i.toLong, rec(i.toLong)))
-    assert(n.drainAll().size == 5 && n.isEmpty)
-  }
-
   test("many triples maintain heap order (priority-queue internals)") {
     val rng = new scala.util.Random(3)
     val n   = new Notificator[Long, Long]

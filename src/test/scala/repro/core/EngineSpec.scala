@@ -240,6 +240,16 @@ class EngineSpec extends AnyFunSuite {
     assert(engine.sOps(0).bins(0).states.get(0L).contains(1L), "record flushed after control advanced")
   }
 
+  test("a configuration update behind its bin's last update is rejected") {
+    val engine = new MegaphoneEngine[Long, Long, (Long, Long)](
+      new Sim, 2, 4, CostModel.keyCount.copy(hiccupEveryNs = 0), new SumLogic, k => (k % 4).toInt)
+    engine.controlInput.send(100L, Seq(0 -> 1))
+    intercept[IllegalArgumentException] { engine.controlInput.send(50L, Seq(0 -> 0)) }
+    engine.controlInput.send(50L, Seq(1 -> 0)) // other bins keep their own order
+    assert(engine.currentOwner(0) == 1 && engine.route(99L, 0) == 0 && engine.route(100L, 0) == 1)
+    assert(engine.currentOwner(1) == 0 && engine.route(49L, 1) == 1)
+  }
+
   test("utilization accounting: workers are busy when records flow") {
     val sim = new Sim
     val engine = new MegaphoneEngine[Long, Long, (Long, Long)](

@@ -81,6 +81,19 @@ class CountingWorkloadSpec extends AnyFunSuite {
     assert(res.migrations.size == 2) // completing both implies no bin was lost
   }
 
+  test("a fluid migration under scheduling noise keeps its exact simulated schedule") {
+    // Figures of this run as first recorded; a change that moves a single
+    // simulated event (routing, progress, noise) shifts at least one of them.
+    val res = CountingWorkload.run(
+      cfg(bins = 256).copy(domain = 256_000_000L, cost = CostModel.keyCount), 3_000_000_000L, Some(Fluid()))
+    assert(res.hist.count == 6865000.0)
+    assert(res.hist.percentile(0.5) == 9437183L)
+    assert(res.hist.percentile(0.9999) == 44040191L)
+    assert(res.steadyMaxLatencyNs == 6610354L)
+    assert(res.migrations.map(m => (m.startNs, m.endNs, m.maxLatencyNs)) ==
+      Seq((1000000000L, 3472538930L, 44444209L), (3972538930L, 6364884298L, 40769853L)))
+  }
+
   test("throughput saturation raises latency (overload shape of Fig 19)") {
     val lo = CountingWorkload.run(cfg(), 2_000_000_000L, None)
     val hi = CountingWorkload.run(cfg().copy(ratePerSec = 200_000_000L), 2_000_000_000L, None)

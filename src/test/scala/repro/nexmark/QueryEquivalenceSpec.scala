@@ -138,6 +138,13 @@ class QueryEquivalenceSpec extends AnyFunSuite {
     assert(base.size == mig.size)
   }
 
+  test("Q4 under batched migration and scheduling noise keeps its exact simulated figures") {
+    // Figures of this run as first recorded (see CountingWorkloadSpec).
+    val cfg = config(4).copy(cost = repro.core.CostModel.keyCount.copy(perRecordNs = 250.0))
+    val row = repro.exp.NexmarkExp.run(4, Some(Batched(4)), cfg, totalNs = 3_000_000_000L)
+    assert(row == repro.exp.NexmarkExp.Row(4, "batched", 1321944L, 1325051L, 4624198L, 17995L))
+  }
+
   test("stateless Q1 is unaffected by migration entirely") {
     val (base, _) = mega(1, epochs = 30, workers = 4)
     val (mig, _)  = mega(1, epochs = 30, workers = 4, strategy = Some(AllAtOnce))

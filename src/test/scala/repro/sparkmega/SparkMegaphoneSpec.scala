@@ -3,6 +3,7 @@ package repro.sparkmega
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData}
+import repro.core.Moves
 
 /** The Spark micro-batch instantiation: result correctness against DuckDB,
   * migration invariance across strategies, and real placement checks via
@@ -65,7 +66,7 @@ class SparkMegaphoneSpec extends SparkSpec {
   for (strategy <- Seq("all-at-once", "fluid", "batched")) {
     test(s"final state is invariant under $strategy migration") {
       val bs    = batches(6, 1500, 400)
-      val moves = SparkMegaphone.imbalance(Bins, Workers)
+      val moves = Moves.imbalance(Bins, Workers)
       val sched = SparkMegaphone.schedule(strategy, moves, startBatch = 2, batchesAvailable = 3)
       val eng   = new SparkMegaphone(spark, Bins, Workers)
       bs.zipWithIndex.foreach { case (b, i) => eng.processBatch(b, sched.getOrElse(i, Nil)) }
@@ -81,7 +82,7 @@ class SparkMegaphoneSpec extends SparkSpec {
   }
 
   test("schedules partition the moves without loss or duplication") {
-    val moves = SparkMegaphone.imbalance(Bins, Workers)
+    val moves = Moves.imbalance(Bins, Workers)
     for (s <- Seq("all-at-once", "fluid", "batched")) {
       val sched = SparkMegaphone.schedule(s, moves, 2, 4)
       assert(sched.values.flatten.toSet == moves.toSet)
@@ -111,7 +112,7 @@ class SparkMegaphoneSpec extends SparkSpec {
     val eng = new SparkMegaphone(spark, Bins, Workers)
     eng.processBatch(batches(1, 3000, 600).head)
     val before = eng.state.select($"bin", $"worker").distinct().as[(Int, Int)].collect().toMap
-    val moves  = SparkMegaphone.imbalance(Bins, Workers)
+    val moves  = Moves.imbalance(Bins, Workers)
     val res    = eng.processBatch(batches(1, 100, 600).head, moves)
     assert(res.movedRows > 0)
     val after = eng.state.select($"bin", $"worker").distinct().as[(Int, Int)].collect().toMap
@@ -122,7 +123,7 @@ class SparkMegaphoneSpec extends SparkSpec {
 
   test("fluid schedule spreads moved rows over batches; all-at-once concentrates them") {
     val bs    = batches(6, 1000, 300)
-    val moves = SparkMegaphone.imbalance(Bins, Workers)
+    val moves = Moves.imbalance(Bins, Workers)
     def movedPerBatch(strategy: String): Seq[Long] = {
       val sched = SparkMegaphone.schedule(strategy, moves, 1, 4)
       val eng   = new SparkMegaphone(spark, Bins, Workers)
@@ -141,7 +142,7 @@ class SparkMegaphoneSpec extends SparkSpec {
     val eng   = new SparkMegaphone(spark, Bins, Workers)
     val empty = Seq.empty[(Long, Long)].toDF("key", "value")
     eng.processBatch(empty)
-    val moves = SparkMegaphone.imbalance(Bins, Workers)
+    val moves = Moves.imbalance(Bins, Workers)
     eng.processBatch(empty, moves)
     eng.processBatch(empty, moves.map { case (b, _) => (b, b % Workers) }) // move back
     moves.foreach { case (b, _) => assert(eng.currentOwner(b) == b % Workers) }
